@@ -18,9 +18,8 @@
 //! `Digraph::in_neighbors(..).iter()` bit for bit — the engines' goldens
 //! rely on this.
 //!
-//! [`CompiledTopology::rebuild`] re-derives the CSR arrays from a new graph
-//! while reusing the allocations — the dynamic-topology engine calls it
-//! when its schedule hands out a different graph for the next round.
+//! A compiled view is immutable: the dynamic-topology engine compiles one
+//! per distinct graph of its schedule up front and switches between them.
 
 use crate::{Digraph, NodeId, NodeSet};
 
@@ -72,58 +71,49 @@ impl CompiledTopology {
             graph.node_count(),
             "fault set universe must match the graph"
         );
-        let n = graph.node_count();
-        let mut compiled = CompiledTopology {
-            n,
-            offsets: Vec::with_capacity(n + 1),
-            in_neighbors: Vec::with_capacity(graph.edge_count()),
-            is_faulty: (0..n).map(|i| faults.contains(NodeId::new(i))).collect(),
-            faulty_offsets: Vec::with_capacity(n + 1),
-            faulty_in: Vec::new(),
-            max_in_degree: 0,
-        };
-        compiled.fill_csr(graph);
+        let mut compiled = CompiledTopology::empty(graph.node_count(), faults, graph.edge_count());
+        // One pass over each in-neighbour bitset: the row length is the
+        // in-degree, so no second popcount pass is needed.
+        for v in graph.nodes() {
+            compiled.push_row(graph.in_neighbors(v).iter().map(|u| u.index() as u32));
+        }
         compiled
     }
 
-    /// Re-derives the CSR arrays from `graph`, reusing the existing
-    /// allocations. The fault flags are kept — topology churn does not move
-    /// the Byzantine set (the dynamic engine's model, §2.2: `F` is fixed
-    /// for the whole execution while edges come and go).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` has a different node count than the compiled one.
-    pub fn rebuild(&mut self, graph: &Digraph) {
-        assert_eq!(
-            graph.node_count(),
-            self.n,
-            "rebuild requires the same node universe"
-        );
-        self.offsets.clear();
-        self.in_neighbors.clear();
-        self.faulty_offsets.clear();
-        self.faulty_in.clear();
-        self.fill_csr(graph);
+    /// A compilation of `n` nodes with no rows yet; rows are appended in
+    /// node order by [`CompiledTopology::push_row`].
+    fn empty(n: usize, faults: &NodeSet, edge_capacity: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut faulty_offsets = Vec::with_capacity(n + 1);
+        faulty_offsets.push(0);
+        CompiledTopology {
+            n,
+            offsets,
+            in_neighbors: Vec::with_capacity(edge_capacity),
+            is_faulty: (0..n).map(|i| faults.contains(NodeId::new(i))).collect(),
+            faulty_offsets,
+            faulty_in: Vec::new(),
+            max_in_degree: 0,
+        }
     }
 
-    fn fill_csr(&mut self, graph: &Digraph) {
-        assert!(u32::try_from(self.n).is_ok(), "node count exceeds u32");
-        self.max_in_degree = 0;
-        self.offsets.push(0);
-        self.faulty_offsets.push(0);
-        for v in graph.nodes() {
-            for (slot, u) in graph.in_neighbors(v).iter().enumerate() {
-                self.in_neighbors.push(u.index() as u32);
-                if self.is_faulty[u.index()] {
-                    self.faulty_in.push((slot as u32, u.index() as u32));
-                }
+    /// Appends the next node's in-neighbour row (ascending ids) together
+    /// with its faulty sub-CSR run.
+    fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+        let start = self.in_neighbors.len();
+        for (slot, u) in row.into_iter().enumerate() {
+            self.in_neighbors.push(u);
+            if self.is_faulty[u as usize] {
+                self.faulty_in.push((slot as u32, u));
             }
-            let end = u32::try_from(self.in_neighbors.len()).expect("edge count exceeds u32");
-            self.max_in_degree = self.max_in_degree.max(graph.in_degree(v));
-            self.offsets.push(end);
-            self.faulty_offsets.push(self.faulty_in.len() as u32);
         }
+        let end = self.in_neighbors.len();
+        self.max_in_degree = self.max_in_degree.max(end - start);
+        self.offsets
+            .push(u32::try_from(end).expect("edge count exceeds u32"));
+        self.faulty_offsets.push(self.faulty_in.len() as u32);
     }
 
     /// Number of nodes.
@@ -216,39 +206,19 @@ impl CompiledTopology {
         F: FnMut(usize, &mut Vec<u32>),
     {
         assert_eq!(faults.universe(), n, "fault set universe must match n");
-        assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
-        let mut compiled = CompiledTopology {
-            n,
-            offsets: Vec::with_capacity(n + 1),
-            in_neighbors: Vec::new(),
-            is_faulty: (0..n).map(|i| faults.contains(NodeId::new(i))).collect(),
-            faulty_offsets: Vec::with_capacity(n + 1),
-            faulty_in: Vec::new(),
-            max_in_degree: 0,
-        };
-        compiled.offsets.push(0);
-        compiled.faulty_offsets.push(0);
+        let mut compiled = CompiledTopology::empty(n, faults, 0);
         let mut buf = Vec::new();
         for i in 0..n {
             buf.clear();
             row(i, &mut buf);
             let mut prev: Option<u32> = None;
-            for (slot, &u) in buf.iter().enumerate() {
+            compiled.push_row(buf.iter().map(|&u| {
                 assert!((u as usize) < n, "in-neighbour {u} out of range");
                 assert_ne!(u as usize, i, "self-loop at node {i}");
                 assert!(prev.is_none_or(|p| p < u), "row {i} not strictly ascending");
                 prev = Some(u);
-                compiled.in_neighbors.push(u);
-                if compiled.is_faulty[u as usize] {
-                    compiled.faulty_in.push((slot as u32, u));
-                }
-            }
-            let end = u32::try_from(compiled.in_neighbors.len()).expect("edge count exceeds u32");
-            compiled.max_in_degree = compiled.max_in_degree.max(buf.len());
-            compiled.offsets.push(end);
-            compiled
-                .faulty_offsets
-                .push(compiled.faulty_in.len() as u32);
+                u
+            }));
         }
         compiled
     }
@@ -342,45 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_and_tracks_new_topology() {
-        let dense = generators::complete(6);
-        let sparse = generators::cycle(6);
-        let mut t = CompiledTopology::compile(&dense, &NodeSet::from_indices(6, [0]));
-        assert_eq!(t.edge_count(), dense.edge_count());
-        t.rebuild(&sparse);
-        assert_eq!(t.edge_count(), 6);
-        assert_eq!(t.max_in_degree(), 1);
-        for v in sparse.nodes() {
-            let expect: Vec<u32> = sparse
-                .in_neighbors(v)
-                .iter()
-                .map(|u| u.index() as u32)
-                .collect();
-            assert_eq!(t.in_neighbors_of(v.index()), expect.as_slice());
-        }
-        // Fault flags survive the rebuild.
-        assert!(t.is_faulty(0));
-        assert!(!t.is_faulty(1));
-        // And rebuilding back restores the dense view exactly.
-        t.rebuild(&dense);
-        assert_eq!(
-            t,
-            CompiledTopology::compile(&dense, &NodeSet::from_indices(6, [0]))
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "fault set universe")]
     fn mismatched_universe_panics() {
         let g = generators::complete(3);
         let _ = CompiledTopology::compile(&g, &NodeSet::with_universe(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "same node universe")]
-    fn rebuild_rejects_different_node_count() {
-        let mut t = CompiledTopology::compile(&generators::complete(3), &NodeSet::with_universe(3));
-        t.rebuild(&generators::complete(4));
     }
 
     #[test]

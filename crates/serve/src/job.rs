@@ -143,6 +143,15 @@ impl ScenarioSpec {
         }
     }
 
+    /// The Byzantine set over `n` nodes; an index `≥ n` is a job error,
+    /// checked before any key derivation or execution touches it.
+    fn fault_set(&self, n: usize) -> Result<NodeSet, ServeError> {
+        if let Some(node) = self.faulty.iter().find(|&&node| node >= n) {
+            return Err(ServeError::Job(format!("faulty node {node} >= n = {n}")));
+        }
+        Ok(NodeSet::from_indices(n, self.faulty.iter().copied()))
+    }
+
     fn resolve_rule(&self) -> Result<Box<dyn UpdateRule>, ServeError> {
         rule_by_name(&self.rule, self.f, self.quantum)
     }
@@ -154,7 +163,7 @@ impl ScenarioSpec {
         let g = parse::parse_edge_list(&self.graph)
             .map_err(|e| ServeError::Job(format!("bad graph: {e}")))?;
         let n = g.node_count();
-        let faults = NodeSet::from_indices(n, self.faulty.iter().copied());
+        let faults = self.fault_set(n)?;
         let topo = CompiledTopology::compile(&g, &faults);
         h.write_str("scenario");
         h.write_u64(fingerprint::topology(&topo));
@@ -203,12 +212,7 @@ impl ScenarioSpec {
         let g = parse::parse_edge_list(&self.graph)
             .map_err(|e| ServeError::Job(format!("bad graph: {e}")))?;
         let n = g.node_count();
-        for &node in &self.faulty {
-            if node >= n {
-                return Err(ServeError::Job(format!("faulty node {node} >= n = {n}")));
-            }
-        }
-        let faults = NodeSet::from_indices(n, self.faulty.iter().copied());
+        let faults = self.fault_set(n)?;
         let inputs = self.resolve_inputs(n)?;
         let rule = self.resolve_rule()?;
         let adversary = adversary_by_name(&self.adversary, self.seed)?;

@@ -178,11 +178,17 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses one JSON value; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The wire protocol nests
+/// at most three deep; the cap keeps hostile input (a frame of `[[[[…`)
+/// from recursing the parser off the end of a handler thread's stack.
+pub const MAX_DEPTH: usize = 32;
+
+/// Parses one JSON value; trailing non-whitespace, or nesting deeper than
+/// [`MAX_DEPTH`], is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing data", pos));
@@ -212,10 +218,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` open containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err("nesting too deep", *pos)),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -229,7 +237,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -251,7 +259,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -408,5 +416,16 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.message.as_str(), e.at), ("nesting too deep", MAX_DEPTH));
+        // Far past any stack: rejected at the cap, not by overflowing.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

@@ -75,6 +75,9 @@ pub struct ServerStats {
     /// Jobs coalesced onto an identical in-flight compute (served the
     /// leader's bytes; journaled as hits).
     pub job_coalesced: usize,
+    /// Connection handlers that panicked. The daemon counts them and keeps
+    /// serving; the panicking connection's peer sees it close.
+    pub handler_panics: usize,
 }
 
 /// One in-flight compute that identical submissions can park on.
@@ -133,17 +136,26 @@ impl Semaphore {
         }
     }
 
-    fn acquire(&self) {
+    /// Blocks until a permit is free and takes it; the permit returns
+    /// when the guard drops, also when its holder unwinds from a panic.
+    fn acquire(self: &Arc<Self>) -> Permit {
         let mut permits = self.permits.lock().unwrap();
         while *permits == 0 {
             permits = self.cv.wait(permits).unwrap();
         }
         *permits -= 1;
+        Permit(Arc::clone(self))
     }
+}
 
-    fn release(&self) {
-        *self.permits.lock().unwrap() += 1;
-        self.cv.notify_one();
+/// One held [`Semaphore`] permit, released on drop.
+#[derive(Debug)]
+struct Permit(Arc<Semaphore>);
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        *self.0.permits.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.0.cv.notify_one();
     }
 }
 
@@ -564,7 +576,7 @@ impl Server {
         let addr = self.local_addr()?;
         let semaphore = Arc::new(Semaphore::new(self.max_connections));
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut accepted = 0usize;
+        let (mut accepted, mut panics) = (0usize, 0usize);
         loop {
             if let Some(limit) = self.accept_limit {
                 if accepted >= limit {
@@ -587,27 +599,43 @@ impl Server {
                 break;
             }
             accepted += 1;
-            semaphore.acquire();
+            let permit = semaphore.acquire();
             let shared = Arc::clone(&self.shared);
-            let semaphore_for_handler = Arc::clone(&semaphore);
             handles.push(std::thread::spawn(move || {
+                let _permit = permit;
                 handle_connection(stream, &shared, addr);
-                semaphore_for_handler.release();
             }));
             // Reap finished handlers so the handle list stays bounded on
-            // long-lived daemons.
+            // long-lived daemons. A panicked handler is counted, not
+            // re-raised: one bad connection must not stop the daemon.
             let (done, running): (Vec<_>, Vec<_>) =
                 handles.drain(..).partition(|h| h.is_finished());
             handles = running;
-            for handle in done {
-                handle.join().expect("connection handler panicked");
-            }
+            panics += done.into_iter().filter_map(|h| h.join().err()).count();
         }
-        for handle in handles {
-            handle.join().expect("connection handler panicked");
-        }
+        panics += handles.into_iter().filter_map(|h| h.join().err()).count();
         let mut stats = *self.shared.stats.lock().unwrap();
         stats.connections = accepted;
+        stats.handler_panics = panics;
         Ok(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn permit_returns_when_its_holder_panics() {
+        let semaphore = Arc::new(Semaphore::new(1));
+        let permit = semaphore.acquire();
+        let holder = std::thread::spawn(move || {
+            let _permit = permit;
+            panic!("handler failure");
+        });
+        assert!(holder.join().is_err());
+        // With the single permit leaked this would block forever.
+        drop(semaphore.acquire());
+        assert_eq!(*semaphore.permits.lock().unwrap(), 1);
     }
 }

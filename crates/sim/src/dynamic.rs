@@ -36,27 +36,34 @@ use rand::{Rng, SeedableRng};
 
 use crate::adversary::{Adversary, AdversaryView};
 // Phase 2 of the dynamic engine is the SAME pure per-node function as the
-// static engine's, applied to whichever topology this round compiled —
+// static engine's, applied to the compiled form of this round's graph —
 // one copy, so the engine-equivalence goldens can never diverge between
 // the two.
 use crate::engine::step_node;
 use crate::error::SimError;
-use crate::plan::{dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, RoundPlan};
+use crate::plan::{fill_plan, plan_tables, PlannedEdge, RoundPlan};
 use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
 use iabc_exec::{Chunking, Executor, ScratchPool};
 
 /// A round-indexed communication topology. Rounds are 1-based, matching
 /// the engine (`graph_at(1)` is the graph used by the first iteration).
+///
+/// **Contract:** every reference `graph_at` returns is one of the
+/// references `distinct_graphs` returns — the same object, not merely an
+/// equal graph. [`DynamicSimulation`] compiles each distinct graph once
+/// and looks up a round's compiled form by reference identity; it panics
+/// on a round whose graph is not in the list.
 pub trait TopologySchedule: fmt::Debug {
     /// Number of nodes; constant across rounds.
     fn node_count(&self) -> usize;
 
-    /// The graph the given round communicates over.
+    /// The graph the given round communicates over: one of
+    /// [`TopologySchedule::distinct_graphs`].
     fn graph_at(&self, round: usize) -> &Digraph;
 
-    /// The distinct graphs the schedule can ever produce (for condition
-    /// checks: e.g. asserting each satisfies Theorem 1 or the validity
-    /// floor).
+    /// The distinct graphs the schedule can ever produce — what the
+    /// dynamic engine compiles, and what condition checks iterate (e.g.
+    /// asserting each satisfies Theorem 1 or the validity floor).
     fn distinct_graphs(&self) -> Vec<&Digraph>;
 }
 
@@ -309,20 +316,45 @@ pub fn validity_floor(g: &Digraph, f: usize, fault_set: &NodeSet) -> bool {
         .all(|v| g.in_degree(v) >= 2 * f)
 }
 
+/// One schedule graph compiled for a run: its CSR and the faulty-edge plan
+/// tables (query-order slot list and dense slot → edge inverse).
+#[derive(Debug)]
+struct CompiledGraph<'a> {
+    /// The schedule graph this entry was compiled from; rounds find their
+    /// entry by this reference's identity.
+    graph: &'a Digraph,
+    topology: CompiledTopology,
+    planned_edges: Vec<PlannedEdge>,
+    slot_edges: Vec<PlannedEdge>,
+}
+
+impl<'a> CompiledGraph<'a> {
+    fn new(graph: &'a Digraph, fault_set: &NodeSet) -> Self {
+        let topology = CompiledTopology::compile(graph, fault_set);
+        let (planned_edges, slot_edges) = plan_tables(&topology);
+        CompiledGraph {
+            graph,
+            topology,
+            planned_edges,
+            slot_edges,
+        }
+    }
+}
+
 /// A synchronous simulation over a time-varying topology. Mirrors
 /// [`crate::Simulation`] exactly, but each round's sends and receives use
 /// the schedule's graph for that round.
 ///
-/// The engine keeps one [`CompiledTopology`] and **rebuilds it in place**
-/// (reusing its allocations) only when the schedule hands out a different
-/// graph than the previous round — detected by reference address, which is
-/// stable because [`TopologySchedule::graph_at`] returns references into
-/// the schedule itself. The round's faulty-edge slot list (the two-phase
-/// protocol's plan keys) is re-derived in the same place, so a dwelling
-/// schedule pays zero recompilation inside the dwell window, and the
-/// per-round loop is the same double-buffered, allocation-free gather as
-/// the static engine — including its [`DynamicSimulation::with_jobs`]
-/// parallel node loop with the bit-for-bit determinism contract.
+/// Each round of Algorithm 1 is an update fixed by that round's graph, so
+/// the engine compiles each of [`TopologySchedule::distinct_graphs`] once,
+/// at construction, into a [`CompiledTopology`] plus the faulty-edge slot
+/// lists the two-phase protocol keys its plans on. A round picks its entry
+/// by the identity of [`TopologySchedule::graph_at`]'s reference, so a
+/// switching schedule pays no recompilation at all, and the per-round
+/// loop is the same double-buffered, allocation-free gather as the static
+/// engine — including its [`DynamicSimulation::with_jobs`] parallel node
+/// loop with the bit-for-bit determinism contract. The extra memory is one
+/// CSR per distinct schedule graph.
 ///
 /// # Examples
 ///
@@ -360,12 +392,8 @@ pub struct DynamicSimulation<'a> {
     states: Vec<f64>,
     next: Vec<f64>,
     round: usize,
-    compiled: CompiledTopology,
-    /// Address of the schedule graph `compiled` was built from (stable for
-    /// the schedule's lifetime; used to skip redundant rebuilds).
-    compiled_for: usize,
-    planned_edges: Vec<PlannedEdge>,
-    slot_edges: Vec<PlannedEdge>,
+    /// One entry per distinct schedule graph, in `distinct_graphs()` order.
+    compiled: Vec<CompiledGraph<'a>>,
     plan: RoundPlan,
     exec: Executor,
     scratch_pool: ScratchPool<Vec<f64>>,
@@ -403,16 +431,11 @@ impl<'a> DynamicSimulation<'a> {
         if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
             return Err(SimError::NonFiniteInput { node, value });
         }
-        let first = schedule.graph_at(1);
-        let compiled = CompiledTopology::compile(first, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
+        let compiled = schedule
+            .distinct_graphs()
+            .into_iter()
+            .map(|graph| CompiledGraph::new(graph, &fault_set))
+            .collect();
         Ok(DynamicSimulation {
             schedule,
             fault_set,
@@ -422,9 +445,6 @@ impl<'a> DynamicSimulation<'a> {
             next: inputs.to_vec(),
             round: 0,
             compiled,
-            compiled_for: first as *const Digraph as usize,
-            planned_edges,
-            slot_edges,
             plan: RoundPlan::new(),
             exec: Executor::serial(),
             scratch_pool: ScratchPool::new(),
@@ -434,7 +454,7 @@ impl<'a> DynamicSimulation<'a> {
     /// Retains a pool of `jobs` workers (`0` = all available cores) —
     /// threads spawn once, here — serving every round's node loop and
     /// `Sync`-tier plan fill; bit-for-bit identical for any value,
-    /// including across in-place topology rebuilds.
+    /// including across topology switches.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.set_jobs(jobs);
@@ -480,20 +500,11 @@ impl<'a> DynamicSimulation<'a> {
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.round += 1;
         let graph = self.schedule.graph_at(self.round);
-        let addr = graph as *const Digraph as usize;
-        if addr != self.compiled_for {
-            self.compiled.rebuild(graph);
-            self.compiled_for = addr;
-            sub_csr_edges(&self.compiled, &mut self.planned_edges);
-            dense_slot_table(
-                self.compiled.faulty_edge_count(),
-                &self.planned_edges,
-                &mut self.slot_edges,
-            );
-            // Recycled scratch buffers grow on first use after a rebuild
-            // (the gather `extend`s past the old capacity once), then the
-            // larger buffers are retained — no per-round allocation.
-        }
+        let entry = self
+            .compiled
+            .iter()
+            .find(|c| std::ptr::eq(c.graph, graph))
+            .expect("TopologySchedule::graph_at returned a graph outside distinct_graphs()");
         let view = AdversaryView {
             round: self.round,
             graph,
@@ -503,14 +514,14 @@ impl<'a> DynamicSimulation<'a> {
         fill_plan(
             self.adversary.as_mut(),
             &view,
-            &self.planned_edges,
-            &self.slot_edges,
+            &entry.planned_edges,
+            &entry.slot_edges,
             true,
             &mut self.plan,
             &self.exec,
         );
         let (compiled, rule, states, plan, round) = (
-            &self.compiled,
+            &entry.topology,
             self.rule,
             &self.states,
             &self.plan,

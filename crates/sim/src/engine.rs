@@ -20,9 +20,7 @@ use iabc_graph::{CompiledTopology, Digraph, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView};
 use crate::error::SimError;
-use crate::plan::{
-    dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
-};
+use crate::plan::{fill_plan, plan_tables, PlannedEdge, PlannedMessage, RoundPlan};
 use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
 use crate::scenario::Scenario;
 
@@ -143,14 +141,7 @@ impl<'a> Simulation<'a> {
             return Err(SimError::NonFiniteInput { node, value });
         }
         let compiled = CompiledTopology::compile(graph, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
+        let (planned_edges, slot_edges) = plan_tables(&compiled);
         Ok(Simulation {
             graph,
             compiled,

@@ -54,9 +54,7 @@ use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 use crate::adversary::{Adversary, AdversaryView, BatchPlan};
 use crate::engine::{sanitize, SANITIZE_CLAMP};
 use crate::error::SimError;
-use crate::plan::{
-    dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
-};
+use crate::plan::{fill_plan, plan_tables, PlannedEdge, PlannedMessage, RoundPlan};
 use crate::run::RunConfig;
 
 /// `R` same-topology consensus executions advanced in lockstep on a
@@ -162,14 +160,7 @@ impl<'a> BatchedSimulation<'a> {
             });
         }
         let compiled = CompiledTopology::compile(graph, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
+        let (planned_edges, slot_edges) = plan_tables(&compiled);
         let adversaries: Vec<Box<dyn Adversary>> = (0..replicas).map(&mut make_adversary).collect();
         let max_deg = compiled.max_in_degree();
         let f = rule.f();

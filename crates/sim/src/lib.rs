@@ -39,9 +39,9 @@
 //!   model, §2.2), and every fault-free entry is rewritten each round;
 //! * **one [`adversary::AdversaryView`] per round** — the view snapshots
 //!   the read buffer, which no write of the same round can touch;
-//! * the dynamic-topology engine **rebuilds its CSR in place** (reusing
-//!   allocations) only when the schedule hands out a different graph,
-//!   detected by reference address.
+//! * the dynamic-topology engine compiles **one CSR per distinct schedule
+//!   graph** at construction and picks each round's by reference identity,
+//!   so no round recompiles.
 //!
 //! # The two-phase adversary protocol and the persistent executor
 //!

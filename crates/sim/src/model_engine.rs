@@ -22,9 +22,7 @@ use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView};
 use crate::error::SimError;
-use crate::plan::{
-    dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
-};
+use crate::plan::{fill_plan, plan_tables, PlannedEdge, PlannedMessage, RoundPlan};
 use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
 
 /// A synchronous simulation delivering `(sender, value)` pairs to an
@@ -108,14 +106,7 @@ impl<'a> ModelSimulation<'a> {
             return Err(SimError::NonFiniteInput { node, value });
         }
         let compiled = CompiledTopology::compile(graph, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
+        let (planned_edges, slot_edges) = plan_tables(&compiled);
         Ok(ModelSimulation {
             graph,
             compiled,

@@ -208,27 +208,44 @@ pub fn faulty_edges_into(graph: &Digraph, fault_set: &NodeSet, edges: &mut Vec<P
     }
 }
 
-/// Rebuilds `edges` as the faulty edges of **fault-free** receivers,
+/// The compiled engines' two plan tables for `compiled`.
+///
+/// The first is the faulty edges of **fault-free** receivers,
 /// receiver-major, with each edge's slot set to its **global sub-CSR
-/// index** (`faulty_in_offset(receiver) + k`). The compiled engines plan
-/// over these slots so the node loop's per-edge lookup is pure index
-/// arithmetic; rows of faulty receivers are left as unread holes in the
-/// plan (sized [`CompiledTopology::faulty_edge_count`]).
-pub(crate) fn sub_csr_edges(compiled: &CompiledTopology, edges: &mut Vec<PlannedEdge>) {
-    edges.clear();
+/// index** (`faulty_in_offset(receiver) + k`) — the query order
+/// `plan_round` iterates. The engines plan over these slots so the node
+/// loop's per-edge lookup is pure index arithmetic; rows of faulty
+/// receivers are left as unread holes in the plan (sized
+/// [`CompiledTopology::faulty_edge_count`]).
+///
+/// The second is the slot-indexed inverse: `dense[slot]` is the
+/// [`PlannedEdge`] planned at `slot`, or a [`NO_EDGE`] hole for slots the
+/// engine never reads. The parallel planning tier chunks the plan's slot
+/// table directly, so it needs this O(1) slot → edge lookup.
+pub(crate) fn plan_tables(compiled: &CompiledTopology) -> (Vec<PlannedEdge>, Vec<PlannedEdge>) {
+    let hole = PlannedEdge {
+        slot: 0,
+        sender: NO_EDGE,
+        receiver: NO_EDGE,
+    };
+    let mut dense = vec![hole; compiled.faulty_edge_count()];
+    let mut edges = Vec::new();
     for i in 0..compiled.node_count() {
         if compiled.is_faulty(i) {
             continue;
         }
         let base = compiled.faulty_in_offset(i);
         for (k, &(_slot, sender)) in compiled.faulty_in_edges_of(i).iter().enumerate() {
-            edges.push(PlannedEdge {
+            let edge = PlannedEdge {
                 slot: (base + k) as u32,
                 sender,
                 receiver: i as u32,
-            });
+            };
+            dense[base + k] = edge;
+            edges.push(edge);
         }
     }
+    (edges, dense)
 }
 
 /// Sentinel marking a plan slot no engine will read this round (e.g. the
@@ -240,26 +257,6 @@ pub(crate) const NO_EDGE: u32 = u32::MAX;
 /// so chunks must be much larger than the per-node [`iabc_exec::MIN_CHUNK`]
 /// before queue traffic stops dominating.
 const PLAN_MIN_CHUNK: usize = 128;
-
-/// Rebuilds `dense` as the slot-indexed edge table of a plan with `len`
-/// slots: `dense[slot]` is the [`PlannedEdge`] planned at `slot`, or a
-/// [`NO_EDGE`] hole for slots the engine never reads. The parallel
-/// planning tier chunks the plan's slot table directly, so it needs this
-/// O(1) slot → edge inverse of the engine's (possibly sparse) edge list.
-pub(crate) fn dense_slot_table(len: usize, edges: &[PlannedEdge], dense: &mut Vec<PlannedEdge>) {
-    dense.clear();
-    dense.resize(
-        len,
-        PlannedEdge {
-            slot: 0,
-            sender: NO_EDGE,
-            receiver: NO_EDGE,
-        },
-    );
-    for edge in edges {
-        dense[edge.slot as usize] = *edge;
-    }
-}
 
 /// Phase 1, shared by every pooled engine: resets `plan` and fills it —
 /// through the [`crate::adversary::Adversary::plan_round_sync`] parallel
@@ -349,15 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn sub_csr_edges_match_graph_enumeration() {
+    fn plan_tables_match_graph_enumeration() {
         let g = generators::chord(7, 5);
         let faults = NodeSet::from_indices(7, [5, 6]);
         let compiled = CompiledTopology::compile(&g, &faults);
-        let mut edges = Vec::new();
-        sub_csr_edges(&compiled, &mut edges);
+        let (edges, slot_edges) = plan_tables(&compiled);
         let dense = faulty_edges_of(&g, &faults);
         assert_eq!(edges.len(), dense.len());
         for (a, b) in edges.iter().zip(&dense) {
+            assert_eq!(slot_edges[a.slot as usize], *a);
             assert_eq!((a.sender, a.receiver), (b.sender, b.receiver));
             // The sub-CSR slot addresses the same edge inside the row.
             let base = compiled.faulty_in_offset(a.receiver as usize);

@@ -151,11 +151,11 @@ proptest! {
         }
     }
 
-    /// The dynamic engine's in-place CSR rebuild: schedule two *distinct
-    /// allocations* of the same graph so the address check forces a
-    /// rebuild at every dwell boundary, and demand the trajectory still
-    /// matches the naive stepper on the static graph bit for bit. Rebuild
-    /// churn must be invisible.
+    /// The dynamic engine's per-graph compiled entries: schedule two
+    /// *distinct allocations* of the same graph so the identity lookup
+    /// switches entry at every dwell boundary, and demand the trajectory
+    /// still matches the naive stepper on the static graph bit for bit.
+    /// The switching must be invisible.
     #[test]
     fn dynamic_rebuild_churn_is_bitwise_invisible(
         n in 6usize..12,
@@ -173,7 +173,7 @@ proptest! {
             faults.insert(NodeId::new(rng.random_range(0..n)));
         }
         // Two clones of the same topology: identical semantics, distinct
-        // addresses -> the engine rebuilds its CSR at every boundary.
+        // addresses -> the engine compiles both and alternates between them.
         let schedule = RoundRobinSchedule::new(vec![g.clone(), g.clone()], dwell).unwrap();
         let rule = TrimmedMean::new(f);
         let mut dynamic = DynamicSimulation::new(
@@ -197,7 +197,7 @@ proptest! {
                 prop_assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "round {} node {} diverged under rebuild churn",
+                    "round {} node {} diverged under topology switching",
                     round + 1, i
                 );
             }

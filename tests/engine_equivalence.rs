@@ -11,9 +11,11 @@
 use iabc::core::fault_model::{FaultModel, ModelTrimmedMean};
 use iabc::core::rules::TrimmedMean;
 use iabc::graph::{generators, NodeId, NodeSet};
-use iabc::sim::adversary::{ConstantAdversary, ExtremesAdversary};
+use iabc::sim::adversary::{ConstantAdversary, ExtremesAdversary, RandomAdversary};
 use iabc::sim::async_engine::{DelayBoundedSim, MaxDelayScheduler, WithholdingSim};
-use iabc::sim::dynamic::{DynamicSimulation, RoundRobinSchedule, TopologySchedule};
+use iabc::sim::dynamic::{
+    DynamicSimulation, RoundRobinSchedule, SequenceSchedule, TopologySchedule,
+};
 use iabc::sim::model_engine::ModelSimulation;
 use iabc::sim::vector::{CoordinateWise, VectorSimulation};
 use iabc::sim::{Engine, RunConfig, Scenario, Simulation, Termination};
@@ -228,6 +230,57 @@ fn dynamic_engine_reproduces_pre_refactor_outcome() {
         built.step().unwrap();
         assert_eq!(direct.states(), built.states());
     }
+}
+
+#[test]
+fn dynamic_sequence_engine_reproduces_recorded_outcome() {
+    // Three graphs that differ in in-degree and in faulty-edge set, cycled
+    // as [A, B, C, B'] with B' an equal copy of B: A recurs every fourth
+    // round by identity and B by content, never adjacently. Recorded
+    // before the engine compiled each schedule graph once up front, when
+    // it rebuilt its CSR at every switch.
+    let golden = Golden {
+        rounds: 24,
+        converged: true,
+        valid: true,
+        state_bits: &[
+            0x4007c1bf2867750c,
+            0x4007c1bf2868dd18,
+            0x4007c1bf2867750c,
+            0x4007c1bf2867750c,
+            0x4007c1bf2868dd18,
+            0x4007c1bf2868dd18,
+            0x4007c1bf28516863,
+            0x0,
+            0x0,
+        ],
+    };
+    let n = 9;
+    let a = generators::complete(n);
+    let b = generators::chord(n, 5);
+    let mut c = generators::complete(n);
+    for (u, v) in [(7, 0), (7, 1), (7, 2), (8, 3), (8, 4), (0, 5), (1, 6)] {
+        c.remove_edge(NodeId::new(u), NodeId::new(v));
+    }
+    let schedule = SequenceSchedule::new(vec![a, b.clone(), c, b]).unwrap();
+    let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0];
+    let rule = TrimmedMean::new(2);
+    let mut sim = Scenario::on(schedule.graph_at(1))
+        .inputs(&inputs)
+        .fault_nodes([7, 8])
+        .rule(&rule)
+        .adversary(Box::new(RandomAdversary::new(-50.0, 50.0, 17)))
+        .dynamic(&schedule)
+        .unwrap();
+    let out = sim.run(&RunConfig::bounded(1e-9, 500)).unwrap();
+    assert_matches_golden(
+        "dynamic sequence",
+        out.rounds,
+        out.converged,
+        out.validity.is_valid(),
+        sim.states(),
+        &golden,
+    );
 }
 
 #[test]

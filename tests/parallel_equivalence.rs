@@ -3,9 +3,9 @@
 //! run at `--jobs ∈ {2, 4, 7}` must be **bit-for-bit identical** to the
 //! serial run — final-state f64 bit patterns, round counts, and the
 //! validity verdict. Covers the synchronous, model-aware, and dynamic
-//! engines (including the dynamic engine's in-place CSR rebuild path,
-//! where the per-round plan slots are re-derived), the delay-bounded
-//! engine's pooled update phase under every scheduler family, the
+//! engines (including the dynamic engine's switches between the compiled
+//! forms of its schedule graphs, each with its own plan slots), the
+//! delay-bounded engine's pooled update phase under every scheduler family, the
 //! withholding engine's prefix-summed plan cursors, and the `Sync`
 //! planning tier (pooled plan fill vs serial `plan_round` across all 12
 //! adversary families).
@@ -30,7 +30,9 @@ use iabc::sim::async_engine::{
     DelayBoundedSim, ImmediateScheduler, MaxDelayScheduler, RandomScheduler, Scheduler,
     TargetedScheduler, WithholdingSim,
 };
-use iabc::sim::dynamic::{DynamicSimulation, RoundRobinSchedule};
+use iabc::sim::dynamic::{
+    DynamicSimulation, RoundRobinSchedule, SequenceSchedule, SwitchOnceSchedule, TopologySchedule,
+};
 use iabc::sim::model_engine::ModelSimulation;
 use iabc::sim::{Engine, RunConfig, Scenario, Simulation};
 use proptest::prelude::*;
@@ -173,25 +175,37 @@ proptest! {
         }
     }
 
-    /// Dynamic engine with forced rebuild churn: two distinct allocations
-    /// of the same graph make the address check rebuild the CSR (and the
-    /// plan's slot list) at every dwell boundary; worker count must still
-    /// be invisible.
+    /// Dynamic engine over every schedule shape: round-robin over two
+    /// equal copies of one graph (a switch of compiled entry at every dwell
+    /// boundary), a one-shot switch to a second graph, and a sequence of
+    /// three graphs with one recurring non-adjacently. Worker count must
+    /// still be invisible.
     #[test]
     fn dynamic_rebuild_runs_are_bit_identical_across_job_counts(
         n in 6usize..14,
         f in 0usize..3,
         dwell in 1usize..4,
+        kind in 0u8..3,
         adv_id in 0u8..12,
         seed in 0u64..10_000,
     ) {
         let w = workload(n, f, 0.7, adv_id, seed);
-        let schedule =
-            RoundRobinSchedule::new(vec![w.graph.clone(), w.graph.clone()], dwell).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A6);
+        let mut other = || random_graph_with_floor(n, 2 * w.f + 1, 0.5, &mut rng);
+        let schedule: Box<dyn TopologySchedule> = match kind {
+            0 => Box::new(
+                RoundRobinSchedule::new(vec![w.graph.clone(), w.graph.clone()], dwell).unwrap(),
+            ),
+            1 => Box::new(SwitchOnceSchedule::new(w.graph.clone(), other(), dwell).unwrap()),
+            _ => {
+                let (b, c) = (other(), other());
+                Box::new(SequenceSchedule::new(vec![w.graph.clone(), b.clone(), c, b]).unwrap())
+            }
+        };
         let rule = TrimmedMean::new(w.f);
         let build = |jobs: usize| {
             DynamicSimulation::new(
-                &schedule,
+                schedule.as_ref(),
                 &w.inputs,
                 w.faults.clone(),
                 &rule,

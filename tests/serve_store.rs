@@ -13,7 +13,7 @@ use iabc::graph::{generators, parse};
 use iabc::serve::store::decode_journal;
 use iabc::serve::{
     protocol, replay_journal, EngineSpec, InputSpec, JobSpec, RecordKind, RunKey, ScenarioSpec,
-    Server, ServerConfig, SingleFlight, Store, SubmitDisposition,
+    ServeError, Server, ServerConfig, SingleFlight, Store, SubmitDisposition,
 };
 use proptest::prelude::*;
 
@@ -440,6 +440,48 @@ fn concurrent_hits_answer_while_a_miss_computes() {
     assert_eq!(stats.job_misses, 2);
     assert!(stats.job_hits >= 20);
     assert_eq!(server.store().len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An out-of-range faulty index is a typed job error, raised before key
+/// derivation: the daemon answers it with an error frame and keeps
+/// serving. One connection slot makes a leaked permit hang the next
+/// submission.
+#[test]
+fn out_of_range_faulty_index_is_an_error_frame_not_a_dead_daemon() {
+    let dir = temp_dir("bad-faulty");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        store_dir: dir.clone(),
+        accept_limit: Some(2),
+        max_connections: 1,
+        max_store_bytes: None,
+    };
+    let mut server = Server::bind(&config).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let bad = JobSpec::Scenario(ScenarioSpec {
+        faulty: vec![99],
+        ..scenario(4, 1, 3, "constant", 6)
+    });
+    assert!(matches!(bad.key(), Err(ServeError::Job(_))));
+    match iabc::serve::submit(&addr, &bad) {
+        Err(ServeError::Server(message)) => {
+            assert!(message.contains("faulty node 99"), "{message}")
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let good = JobSpec::Scenario(scenario(4, 1, 3, "constant", 6));
+    let answered = iabc::serve::submit(&addr, &good).unwrap();
+    assert!(!answered.cache_hit);
+    assert!(!answered.payload.is_empty());
+
+    let stats = handle.join().unwrap().unwrap();
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.job_misses, 1);
+    assert_eq!(stats.handler_panics, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
